@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_10.json
 
-.PHONY: all build test race bench bench-smoke bench-json bench-json-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke fmt vet check
+.PHONY: all build test race bench bench-smoke bench-json bench-json-smoke alloc-guard fault-matrix load-smoke shard-smoke stream-smoke gate-smoke index-smoke perfbench-check fmt vet check
 
 all: build
 
@@ -15,7 +15,7 @@ test:
 race:
 	$(GO) test -race -short ./internal/server ./internal/wire ./internal/workstation ./internal/faults ./internal/sched ./internal/vclock ./internal/cluster ./internal/gateway ./internal/index
 
-# Resilience suite: fault injection, v1/v2 interop under faults, session
+# Resilience suite: fault injection, the mux protocol under faults, session
 # resync/degraded serving, and the E-FAULT experiment.
 fault-matrix:
 	$(GO) test ./internal/faults -run . -count=1
@@ -77,6 +77,12 @@ bench-json-smoke:
 alloc-guard:
 	$(GO) test -run 'Alloc' -count=1 ./internal/image ./internal/voice ./internal/server ./internal/wire ./internal/cluster ./internal/gateway ./internal/index
 
+# The benchmark is its own module, so the root `go test ./...` never
+# compiles it: vet and test it here, so deleting an API it uses fails the
+# check.
+perfbench-check:
+	cd perfbench && GOFLAGS=-buildvcs=false $(GO) vet ./... && $(GO) test ./...
+
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -84,4 +90,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build test race fault-matrix bench-smoke alloc-guard bench-json-smoke load-smoke shard-smoke stream-smoke gate-smoke index-smoke
+check: fmt vet build test race fault-matrix bench-smoke alloc-guard bench-json-smoke load-smoke shard-smoke stream-smoke gate-smoke index-smoke perfbench-check

@@ -6,6 +6,7 @@
 package minos
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -317,14 +318,14 @@ func BenchmarkEViewVsFullImage(b *testing.B) {
 	client := wire.NewClient(lt)
 	id := corpus.FigureIDs["bigmap"]
 	// Warm the server raster cache so both paths measure link transfer.
-	if _, _, err := client.ImageView(id, "roadmap", img.Rect{X: 0, Y: 0, W: 8, H: 8}); err != nil {
+	if _, _, err := client.ImageViewCtx(context.Background(), id, "roadmap", img.Rect{X: 0, Y: 0, W: 8, H: 8}); err != nil {
 		b.Fatal(err)
 	}
 
 	b.Run("view128x96", func(b *testing.B) {
 		lt.ResetStats()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := client.ImageView(id, "roadmap", img.Rect{X: 100, Y: 80, W: 128, H: 96}); err != nil {
+			if _, _, err := client.ImageViewCtx(context.Background(), id, "roadmap", img.Rect{X: 100, Y: 80, W: 128, H: 96}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -335,7 +336,7 @@ func BenchmarkEViewVsFullImage(b *testing.B) {
 	b.Run("fullimage640x480", func(b *testing.B) {
 		lt.ResetStats()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := client.ImageView(id, "roadmap", img.Rect{X: 0, Y: 0, W: 640, H: 480}); err != nil {
+			if _, _, err := client.ImageViewCtx(context.Background(), id, "roadmap", img.Rect{X: 0, Y: 0, W: 640, H: 480}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -346,7 +347,7 @@ func BenchmarkEViewVsFullImage(b *testing.B) {
 	b.Run("representation80x60", func(b *testing.B) {
 		lt.ResetStats()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := client.ImageView(id, "roadmap.mini", img.Rect{X: 0, Y: 0, W: 80, H: 60}); err != nil {
+			if _, _, err := client.ImageViewCtx(context.Background(), id, "roadmap.mini", img.Rect{X: 0, Y: 0, W: 80, H: 60}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -473,7 +474,7 @@ func BenchmarkEMiniatureBrowse(b *testing.B) {
 		lt.ResetStats()
 		for i := 0; i < b.N; i++ {
 			for _, id := range ids {
-				if _, _, err := client.Miniature(id); err != nil {
+				if _, _, err := client.MiniaturesCtx(context.Background(), []object.ID{id}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -485,7 +486,7 @@ func BenchmarkEMiniatureBrowse(b *testing.B) {
 		lt.ResetStats()
 		for i := 0; i < b.N; i++ {
 			for _, id := range ids {
-				d, _, err := client.Descriptor(id)
+				d, _, err := client.DescriptorCtx(context.Background(), id)
 				if err != nil {
 					b.Fatal(err)
 				}

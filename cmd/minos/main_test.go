@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
 	"minos/internal/core"
+	"minos/internal/demo"
 	"minos/internal/figures"
 	"minos/internal/screen"
 	"minos/internal/text"
@@ -27,6 +31,38 @@ func TestRunSubcommands(t *testing.T) {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
 		}
+	}
+}
+
+// TestListPrintsEveryPublishedID: `list` enumerates the server's whole
+// corpus — filler documents included — not the hits of some query.
+func TestListPrintsEveryPublishedID(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run([]string{"-fillers", "8", "list"})
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	c, err := demo.Build(1<<16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, id := range c.Server.IDs() {
+		fmt.Fprintf(&want, "  object %d\n", id)
+	}
+	if string(out) != want.String() {
+		t.Fatalf("list printed\n%s\nwant\n%s", out, want.String())
 	}
 }
 

@@ -10,32 +10,34 @@
 // # Wire protocol opcodes
 //
 // The workstation/server protocol (internal/wire) is versioned by the
-// HELLO handshake: v1 is the lockstep request/response framing, v2 adds
-// the correlated mux (many in-flight calls on one connection), v3 adds
-// credit-based server-push streams. Every request starts with a one-byte
-// opcode:
+// HELLO handshake, which must be the first frame on every connection: v2
+// (the floor) is the correlated mux (many in-flight calls on one
+// connection), v3 adds credit-based server-push streams. A connection whose
+// first frame is not a HELLO negotiating v2 or later gets one error
+// response and is closed. Every request starts with a one-byte opcode;
+// retired opcodes answer "unknown op" and are never reused:
 //
-//	op  name              since  meaning
-//	 1  OpQuery           v1     content query → matching object ids
-//	 2  OpDescriptor      v1     fetch an object's presentation descriptor
-//	 3  OpReadPiece       v1     read (offset, length) of the archive
-//	 4  OpMiniature       v1     one encoded browse miniature
-//	 5  OpList            v1     list the archive's object ids
-//	 6  OpMode            v1     an object's presentation mode
-//	 7  OpImageView       v1     server-side image zoom/clip
-//	 8  OpVoicePreview    v1     voice preview (page-sized prefix;
-//	                             deprecated by OpVoiceStream)
-//	 9  OpStats           v1     server statistics snapshot
-//	10  OpHello           v1     version negotiation (v2+ piggybacks the
-//	                             cluster map on the ack)
-//	11  OpMiniatures      v2     batched miniatures, one frame per id
-//	12  OpClusterMap      v2     epoch-checked cluster-map fetch
-//	13  OpVoiceStream     v3     open a voice PCM server-push stream
-//	14  OpMiniatureStream v3     open a progressive miniature stream
-//	15  OpStreamCredit    v3     grant flow-control credit to a stream
-//	16  OpStreamCancel    v3     cancel an open stream
-//	17  OpQueryPlanned    v3     planned content query (AND terms +
-//	                             kind/date predicates) → sorted ids
+//	op  name              since    meaning
+//	 1  OpQuery           retired  (was the terms-only query; use 17)
+//	 2  OpDescriptor      v2       fetch an object's presentation descriptor
+//	 3  OpReadPiece       v2       read (offset, length) of the archive
+//	 4  OpMiniature       retired  (was one miniature; use 11)
+//	 5  OpList            v2       list the archive's object ids
+//	 6  OpMode            retired  (was one driving mode; use 11)
+//	 7  OpImageView       v2       server-side image zoom/clip
+//	 8  OpVoicePreview    v2       voice preview (page-sized prefix;
+//	                               deprecated by OpVoiceStream)
+//	 9  OpStats           v2       server statistics snapshot (tagged)
+//	10  OpHello           v2       version negotiation (the ack carries the
+//	                               cluster map of a fleet member)
+//	11  OpMiniatures      v2       batched miniatures, one frame per id
+//	12  OpClusterMap      v2       epoch-checked cluster-map fetch
+//	13  OpVoiceStream     v3       open a voice PCM server-push stream
+//	14  OpMiniatureStream v3       open a progressive miniature stream
+//	15  OpStreamCredit    v3       grant flow-control credit to a stream
+//	16  OpStreamCancel    v3       cancel an open stream
+//	17  OpQueryPlanned    v3       planned content query (AND terms +
+//	                               kind/date predicates) → sorted ids
 //
 // Stream frame layout, credit rules and failover-resume semantics are
 // specified in DESIGN.md §10; the planned-query grammar, segment format

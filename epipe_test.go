@@ -1,6 +1,7 @@
 package minos
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ const (
 // link statistics.
 func epipeBrowse(t testing.TB, sess *workstation.Session, lt *wire.LocalTransport, term string) (steps int, rts int64, linkTime time.Duration) {
 	t.Helper()
-	n, err := sess.Query(term)
+	n, err := sess.QueryCtx(context.Background(), term)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +39,14 @@ func epipeBrowse(t testing.TB, sess *workstation.Session, lt *wire.LocalTranspor
 	}
 	lt.ResetStats()
 	for {
-		_, mini, done, err := sess.NextMiniature()
+		st, err := sess.NextMiniatureCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
+		if st.Done {
 			break
 		}
-		if mini == nil || mini.PopCount() == 0 {
+		if st.Mini == nil || st.Mini.PopCount() == 0 {
 			t.Fatal("blank miniature during browse")
 		}
 		steps++
@@ -136,7 +137,7 @@ func TestEPipeOverTCP(t *testing.T) {
 	sess.EnablePrefetch(workstation.PrefetchConfig{Depth: epipeDepth, Batch: epipeBatch})
 	defer sess.Close()
 
-	n, err := sess.Query("heart")
+	n, err := sess.QueryCtx(context.Background(), "heart")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +146,14 @@ func TestEPipeOverTCP(t *testing.T) {
 	}
 	steps := 0
 	for {
-		_, mini, done, err := sess.NextMiniature()
+		st, err := sess.NextMiniatureCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
+		if st.Done {
 			break
 		}
-		if mini == nil || mini.PopCount() == 0 {
+		if st.Mini == nil || st.Mini.PopCount() == 0 {
 			t.Fatal("blank miniature over TCP")
 		}
 		steps++
@@ -185,16 +186,16 @@ func BenchmarkEPipeBrowse(b *testing.B) {
 			if prefetch {
 				sess.EnablePrefetch(workstation.PrefetchConfig{Depth: epipeDepth, Batch: epipeBatch})
 			}
-			if _, err := sess.Query("lung"); err != nil {
+			if _, err := sess.QueryCtx(context.Background(), "lung"); err != nil {
 				b.Fatal(err)
 			}
 			lt.ResetStats()
 			for {
-				_, _, done, err := sess.NextMiniature()
+				st, err := sess.NextMiniatureCtx(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
-				if done {
+				if st.Done {
 					break
 				}
 				steps++

@@ -1,6 +1,7 @@
 package minos
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -30,33 +31,29 @@ func TestEndToEndOverTCP(t *testing.T) {
 	defer l.Close()
 	go wire.Serve(l, &wire.Handler{Srv: corpus.Server})
 
-	tp, err := wire.Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := workstation.New(wire.NewClient(tp), core.Config{
+	sess := workstation.New(wire.NewClient(mustDial(t, l.Addr().String())), core.Config{
 		Screen: screen.New(512, 342),
 		Clock:  vclock.New(),
 	})
 	defer sess.Close()
 
 	// Query → sequential miniature browsing.
-	n, err := sess.Query("subway")
+	n, err := sess.QueryCtx(context.Background(), "subway")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("no subway hits")
 	}
-	id, mini, done, err := sess.NextMiniature()
-	if err != nil || done {
-		t.Fatalf("miniature: %v %v", done, err)
+	st, err := sess.NextMiniatureCtx(context.Background())
+	if err != nil || st.Done {
+		t.Fatalf("miniature: %v %v", st.Done, err)
 	}
-	if mini.PopCount() == 0 {
+	if st.Mini.PopCount() == 0 {
 		t.Fatal("blank miniature")
 	}
-	if id != corpus.FigureIDs["fig78"] {
-		t.Fatalf("first hit = %d, want the subway map", id)
+	if st.ID != corpus.FigureIDs["fig78"] {
+		t.Fatalf("first hit = %d, want the subway map", st.ID)
 	}
 
 	// Present it and navigate into a relevant object over the wire.
@@ -89,7 +86,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	// Views over the wire ship only the rectangle.
 	c := wire.NewClient(mustDial(t, l.Addr().String()))
 	defer c.Close()
-	view, _, err := c.ImageView(corpus.FigureIDs["bigmap"], "roadmap", img.Rect{X: 50, Y: 50, W: 64, H: 48})
+	view, _, err := c.ImageViewCtx(context.Background(), corpus.FigureIDs["bigmap"], "roadmap", img.Rect{X: 50, Y: 50, W: 64, H: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +95,9 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 }
 
-func mustDial(t *testing.T, addr string) *wire.TCPTransport {
+func mustDial(t *testing.T, addr string) *wire.MuxTransport {
 	t.Helper()
-	tp, err := wire.Dial(addr)
+	tp, err := wire.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

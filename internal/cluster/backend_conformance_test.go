@@ -134,11 +134,11 @@ type dropOnceTransport struct {
 	drop  atomic.Bool
 }
 
-func (t *dropOnceTransport) RoundTrip(req []byte) ([]byte, error) {
+func (t *dropOnceTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	if t.drop.CompareAndSwap(true, false) {
 		return nil, syscall.ECONNRESET
 	}
-	return t.inner.RoundTrip(req)
+	return t.inner.RoundTripCtx(ctx, req)
 }
 
 func (t *dropOnceTransport) Close() error { return t.inner.Close() }

@@ -36,11 +36,11 @@ type flakyTransport struct {
 	failed *atomic.Bool
 }
 
-func (t *flakyTransport) RoundTrip(req []byte) ([]byte, error) {
+func (t *flakyTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	if t.failed.Load() {
 		return nil, syscall.ECONNRESET
 	}
-	return t.inner.RoundTrip(req)
+	return t.inner.RoundTripCtx(ctx, req)
 }
 
 func (t *flakyTransport) Close() error { return t.inner.Close() }

@@ -194,13 +194,8 @@ type Transport struct {
 // transport-specific introspection such as MuxTransport.PendingCalls).
 func (ft *Transport) Unwrap() wire.Transport { return ft.t }
 
-// RoundTrip implements wire.Transport.
-func (ft *Transport) RoundTrip(req []byte) ([]byte, error) {
-	return ft.RoundTripCtx(context.Background(), req)
-}
-
-// RoundTripCtx implements wire.ContextTransport, applying at most one fault
-// to the exchange.
+// RoundTripCtx implements wire.Transport, applying at most one fault to the
+// exchange.
 func (ft *Transport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	if ft.broken.Load() {
 		return nil, fmt.Errorf("faults: connection is reset: %w", wire.ErrTransportClosed)
@@ -221,13 +216,7 @@ func (ft *Transport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, erro
 			return nil, err
 		}
 	}
-	var resp []byte
-	var err error
-	if ct, ok := ft.t.(wire.ContextTransport); ok {
-		resp, err = ct.RoundTripCtx(ctx, req)
-	} else {
-		resp, err = ft.t.RoundTrip(req)
-	}
+	resp, err := ft.t.RoundTripCtx(ctx, req)
 	if err != nil {
 		return nil, err
 	}

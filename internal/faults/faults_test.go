@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,7 +49,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		inj := faults.New(cfg)
 		ft := inj.Wrap(wire.EthernetLink(&wire.Handler{Srv: srv}))
 		for i := 0; i < 200; i++ {
-			ft.RoundTrip([]byte{5 /* OpList */})
+			ft.RoundTripCtx(context.Background(), []byte{wire.OpList})
 		}
 		return inj.Stats()
 	}
@@ -75,7 +76,7 @@ func TestFaultClassification(t *testing.T) {
 
 	t.Run("drop", func(t *testing.T) {
 		c, _ := newClient(faults.Config{Drop: 1, DropFor: time.Microsecond})
-		_, _, err := c.List()
+		_, _, err := c.ListCtx(context.Background())
 		if !errors.Is(err, wire.ErrCallTimeout) {
 			t.Fatalf("drop error = %v, want ErrCallTimeout", err)
 		}
@@ -86,7 +87,7 @@ func TestFaultClassification(t *testing.T) {
 
 	t.Run("truncate", func(t *testing.T) {
 		c, _ := newClient(faults.Config{Truncate: 1})
-		_, _, err := c.List()
+		_, _, err := c.ListCtx(context.Background())
 		if !errors.Is(err, wire.ErrShort) {
 			t.Fatalf("truncate error = %v, want ErrShort", err)
 		}
@@ -97,7 +98,7 @@ func TestFaultClassification(t *testing.T) {
 
 	t.Run("corrupt", func(t *testing.T) {
 		c, _ := newClient(faults.Config{Corrupt: 1})
-		_, _, err := c.List()
+		_, _, err := c.ListCtx(context.Background())
 		if !errors.Is(err, wire.ErrShort) {
 			t.Fatalf("corrupt error = %v, want ErrShort", err)
 		}
@@ -108,7 +109,7 @@ func TestFaultClassification(t *testing.T) {
 
 	t.Run("reset", func(t *testing.T) {
 		c, _ := newClient(faults.Config{Reset: 1})
-		_, _, err := c.List()
+		_, _, err := c.ListCtx(context.Background())
 		if !errors.Is(err, wire.ErrTransportClosed) {
 			t.Fatalf("reset error = %v, want ErrTransportClosed", err)
 		}
@@ -116,7 +117,7 @@ func TestFaultClassification(t *testing.T) {
 			t.Fatal("reset not classified as needing reconnect")
 		}
 		// The connection stays dead: later calls fail fast the same way.
-		if _, _, err := c.List(); !errors.Is(err, wire.ErrTransportClosed) {
+		if _, _, err := c.ListCtx(context.Background()); !errors.Is(err, wire.ErrTransportClosed) {
 			t.Fatalf("post-reset error = %v", err)
 		}
 	})
@@ -124,7 +125,7 @@ func TestFaultClassification(t *testing.T) {
 	t.Run("stall", func(t *testing.T) {
 		c, _ := newClient(faults.Config{Stall: 1, StallFor: 20 * time.Millisecond})
 		start := time.Now()
-		if _, _, err := c.List(); err != nil {
+		if _, _, err := c.ListCtx(context.Background()); err != nil {
 			t.Fatalf("stalled call failed: %v", err)
 		}
 		if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
@@ -152,7 +153,7 @@ func TestRetryRecoversFromFaults(t *testing.T) {
 	c.EnableReconnect(inj.WrapRedial(dial))
 
 	for i := 0; i < 150; i++ {
-		ids, _, err := c.Query("survey")
+		ids, _, err := c.QueryCtx(context.Background(), "survey")
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -160,7 +161,7 @@ func TestRetryRecoversFromFaults(t *testing.T) {
 			t.Fatalf("call %d: %d hits, want %d", i, len(ids), n)
 		}
 		id := object.ID(i%n + 1)
-		res, _, err := c.Miniatures([]object.ID{id})
+		res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{id})
 		if err != nil {
 			t.Fatalf("call %d miniatures: %v", i, err)
 		}
@@ -206,7 +207,7 @@ func TestLoadSheddingBusyRetry(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, _, err := c.Descriptor(object.ID(g%4 + 1)); err != nil {
+				if _, _, err := c.DescriptorCtx(context.Background(), object.ID(g%4+1)); err != nil {
 					errs <- fmt.Errorf("worker %d: %w", g, err)
 					return
 				}
@@ -238,14 +239,14 @@ func TestBusyNotShedForCheapOps(t *testing.T) {
 
 	c := wire.NewClient(wire.EthernetLink(&wire.Handler{Srv: srv}))
 	c.SetRetryPolicy(noRetry())
-	if _, _, err := c.Query("survey"); err != nil {
+	if _, _, err := c.QueryCtx(context.Background(), "survey"); err != nil {
 		t.Fatalf("query shed under full admission queue: %v", err)
 	}
-	if _, _, err := c.Miniatures([]object.ID{1}); err != nil {
+	if _, _, err := c.MiniaturesCtx(context.Background(), []object.ID{1}); err != nil {
 		t.Fatalf("miniatures shed under full admission queue: %v", err)
 	}
 	// A device-bound op is shed with the retryable busy error.
-	_, _, err = c.Descriptor(1)
+	_, _, err = c.DescriptorCtx(context.Background(), 1)
 	if !errors.Is(err, wire.ErrServerBusy) {
 		t.Fatalf("descriptor under full queue = %v, want ErrServerBusy", err)
 	}

@@ -14,7 +14,7 @@ import (
 // injector does to it.
 type goldenInner struct{ closed bool }
 
-func (g *goldenInner) RoundTrip(req []byte) ([]byte, error) {
+func (g *goldenInner) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	if g.closed {
 		return nil, wire.ErrTransportClosed
 	}
@@ -56,7 +56,7 @@ func goldenTrace(seed int64, calls int) string {
 	dials := 1
 	for i := 0; i < calls; i++ {
 		before := inj.Stats()
-		_, callErr := t.(wire.ContextTransport).RoundTripCtx(ctx, []byte("req"))
+		_, callErr := t.RoundTripCtx(ctx, []byte("req"))
 		after := inj.Stats()
 		var k string
 		switch {

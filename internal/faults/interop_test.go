@@ -1,7 +1,7 @@
 package faults_test
 
 import (
-	"encoding/binary"
+	"context"
 	"net"
 	"runtime"
 	"testing"
@@ -12,7 +12,7 @@ import (
 	"minos/internal/wire"
 )
 
-// startV2Server serves the current protocol (v2 HELLO upgrade) on loopback.
+// startV2Server serves the current protocol (HELLO upgrade to mux) on loopback.
 func startV2Server(t *testing.T) (string, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -21,54 +21,6 @@ func startV2Server(t *testing.T) (string, func()) {
 	}
 	h := &wire.Handler{Srv: testServer(t, 4)}
 	go wire.Serve(l, h)
-	return l.Addr().String(), func() { l.Close() }
-}
-
-// v1ErrResp builds a protocol error response by hand (the shape every
-// server has emitted since v1): status 1, zero device time, message.
-func v1ErrResp(msg string) []byte {
-	out := []byte{1}
-	out = binary.BigEndian.AppendUint64(out, 0)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(msg)))
-	return append(out, msg...)
-}
-
-// startV1Server simulates a pre-HELLO lock-step server: strict alternating
-// framing, and every op it predates (HELLO, MINIATURES) answered with an
-// unknown-op error.
-func startV1Server(t *testing.T) (string, func()) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &wire.Handler{Srv: testServer(t, 4)}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					req, err := wire.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					if len(req) > 0 && req[0] >= 10 /* OpHello */ {
-						resp = v1ErrResp("unknown op")
-					} else {
-						resp = h.Handle(req)
-					}
-					if wire.WriteFrame(conn, resp) != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
 	return l.Addr().String(), func() { l.Close() }
 }
 
@@ -89,25 +41,11 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d > %d+%d\n%s", runtime.NumGoroutine(), base, slack, buf[:n])
 }
 
-// TestInteropFaultMatrix re-runs the v1/v2 protocol interop matrix under
-// injected faults. Every cell drives a browse-shaped call mix through a
-// retrying, reconnecting client and must end with correct results, zero
-// pending-call table entries and zero leaked goroutines.
+// TestInteropFaultMatrix runs the mux protocol under injected faults.
+// Every cell drives a browse-shaped call mix through a retrying,
+// reconnecting client and must end with correct results, zero pending-call
+// table entries and zero leaked goroutines.
 func TestInteropFaultMatrix(t *testing.T) {
-	dials := []struct {
-		name string
-		dial func(addr string) (wire.Transport, error)
-	}{
-		{"v1-client", func(addr string) (wire.Transport, error) { return wire.Dial(addr) }},
-		{"v2-client", func(addr string) (wire.Transport, error) { return wire.DialMux(addr) }},
-	}
-	servers := []struct {
-		name  string
-		start func(t *testing.T) (string, func())
-	}{
-		{"v2-server", startV2Server},
-		{"v1-server", startV1Server},
-	}
 	faultCases := []struct {
 		name string
 		cfg  faults.Config
@@ -117,64 +55,59 @@ func TestInteropFaultMatrix(t *testing.T) {
 		{"reset", faults.Config{Seed: 13, Reset: 0.08}},
 	}
 
-	for _, sv := range servers {
-		for _, dl := range dials {
-			for _, fc := range faultCases {
-				t.Run(sv.name+"/"+dl.name+"/"+fc.name, func(t *testing.T) {
-					base := runtime.NumGoroutine()
-					addr, stop := sv.start(t)
-					inj := faults.New(fc.cfg)
-					redial := inj.WrapRedial(func() (wire.Transport, error) { return dl.dial(addr) })
-					first, err := redial()
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := wire.NewClient(first)
-					c.SetRetryPolicy(wire.RetryPolicy{MaxAttempts: 8, BaseDelay: 500 * time.Microsecond, MaxDelay: 10 * time.Millisecond})
-					c.EnableReconnect(redial)
-
-					for i := 0; i < 40; i++ {
-						ids, _, err := c.Query("survey")
-						if err != nil {
-							t.Fatalf("call %d query: %v", i, err)
-						}
-						if len(ids) != 4 {
-							t.Fatalf("call %d: %d hits, want 4", i, len(ids))
-						}
-						id := object.ID(i%4 + 1)
-						// Miniature exercises the batched path plus its
-						// single-shot fallback against the v1 server.
-						m, _, err := c.Miniature(id)
-						if err != nil {
-							t.Fatalf("call %d miniature: %v", i, err)
-						}
-						if m.PopCount() == 0 {
-							t.Fatalf("call %d: blank miniature", i)
-						}
-						mode, err := c.Mode(id)
-						if err != nil {
-							t.Fatalf("call %d mode: %v", i, err)
-						}
-						if mode != object.Visual {
-							t.Fatalf("call %d: mode = %v", i, mode)
-						}
-					}
-					if fc.cfg.Reset > 0 && c.Reconnects() == 0 {
-						t.Fatal("reset cell never reconnected")
-					}
-					// No pending-call leaks on the (current) transport.
-					if ft, ok := c.Transport().(*faults.Transport); ok {
-						if m, ok := ft.Unwrap().(*wire.MuxTransport); ok {
-							if n := m.PendingCalls(); n != 0 {
-								t.Fatalf("%d pending calls leaked", n)
-							}
-						}
-					}
-					c.Close()
-					stop()
-					waitGoroutines(t, base)
-				})
+	for _, fc := range faultCases {
+		t.Run("v2-server/v2-client/"+fc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			addr, stop := startV2Server(t)
+			inj := faults.New(fc.cfg)
+			redial := inj.WrapRedial(func() (wire.Transport, error) { return wire.DialMux(addr) })
+			first, err := redial()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			c := wire.NewClient(first)
+			c.SetRetryPolicy(wire.RetryPolicy{MaxAttempts: 8, BaseDelay: 500 * time.Microsecond, MaxDelay: 10 * time.Millisecond})
+			c.EnableReconnect(redial)
+
+			ctx := context.Background()
+			for i := 0; i < 40; i++ {
+				ids, _, err := c.QueryCtx(ctx, "survey")
+				if err != nil {
+					t.Fatalf("call %d query: %v", i, err)
+				}
+				if len(ids) != 4 {
+					t.Fatalf("call %d: %d hits, want 4", i, len(ids))
+				}
+				id := object.ID(i%4 + 1)
+				res, _, err := c.MiniaturesCtx(ctx, []object.ID{id})
+				if err != nil {
+					t.Fatalf("call %d miniature: %v", i, err)
+				}
+				if !res[0].OK || res[0].Mini.PopCount() == 0 {
+					t.Fatalf("call %d: blank miniature", i)
+				}
+				mode, err := c.ModeCtx(ctx, id)
+				if err != nil {
+					t.Fatalf("call %d mode: %v", i, err)
+				}
+				if mode != object.Visual {
+					t.Fatalf("call %d: mode = %v", i, mode)
+				}
+			}
+			if fc.cfg.Reset > 0 && c.Reconnects() == 0 {
+				t.Fatal("reset cell never reconnected")
+			}
+			// No pending-call leaks on the (current) transport.
+			if ft, ok := c.Transport().(*faults.Transport); ok {
+				if m, ok := ft.Unwrap().(*wire.MuxTransport); ok {
+					if n := m.PendingCalls(); n != 0 {
+						t.Fatalf("%d pending calls leaked", n)
+					}
+				}
+			}
+			c.Close()
+			stop()
+			waitGoroutines(t, base)
+		})
 	}
 }

@@ -310,11 +310,11 @@ type killableTransport struct {
 	failed *atomic.Bool
 }
 
-func (t *killableTransport) RoundTrip(req []byte) ([]byte, error) {
+func (t *killableTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	if t.failed.Load() {
 		return nil, syscall.ECONNRESET
 	}
-	return t.inner.RoundTrip(req)
+	return t.inner.RoundTripCtx(ctx, req)
 }
 
 func (t *killableTransport) Close() error { return t.inner.Close() }

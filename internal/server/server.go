@@ -104,9 +104,8 @@ type Server struct {
 }
 
 // encodedMini is one encoded-frame cache entry: the descriptor-encoded
-// miniature payload (a read-only shared slice — both wire protocol versions
-// carry this same payload encoding, so one entry serves v1 and v2) plus the
-// driving mode the reply framing needs.
+// miniature payload (a read-only shared slice, copied as is into every
+// batched miniature reply) plus the driving mode the reply framing needs.
 type encodedMini struct {
 	payload []byte
 	mode    object.Mode

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ func BenchmarkLocalRoundTrip(b *testing.B) {
 	c, _ := localClient(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Query("lung"); err != nil {
+		if _, _, err := c.QueryCtx(context.Background(), "lung"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,7 +24,7 @@ func BenchmarkDescriptorFetch(b *testing.B) {
 	c, _ := localClient(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Descriptor(1); err != nil {
+		if _, _, err := c.DescriptorCtx(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +56,7 @@ func benchConcurrentPieceReads(b *testing.B, serialize bool) {
 
 	cs := make([]*Client, clients)
 	for i := range cs {
-		tp, err := Dial(l.Addr().String())
+		tp, err := DialMux(l.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func benchConcurrentPieceReads(b *testing.B, serialize bool) {
 					return
 				}
 				off := uint64(i*piece) % (region - piece)
-				if _, _, err := c.ReadPiece(off, piece); err != nil {
+				if _, _, err := c.ReadPieceCtx(context.Background(), off, piece); err != nil {
 					b.Error(err)
 					return
 				}

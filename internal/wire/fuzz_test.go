@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 )
@@ -24,7 +25,8 @@ func fuzzHandler(t testing.TB) *Handler {
 // let a client-controlled count or length drive an oversized allocation.
 // The seed corpus covers every op plus the historic crashers: a ReadPiece
 // length beyond the device (makeslice overflow) and a Query term count in
-// the billions (preallocation overflow).
+// the billions (preallocation overflow). Requests for the retired ops 1, 4
+// and 6 stay in the corpus as hostile input.
 func FuzzHandleRequest(f *testing.F) {
 	// Well-formed requests for every op, mirroring the client encoders.
 	f.Add([]byte{OpList})
@@ -107,8 +109,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // staticTransport returns one canned response to any request.
 type staticTransport struct{ resp []byte }
 
-func (s *staticTransport) RoundTrip([]byte) ([]byte, error) { return s.resp, nil }
-func (s *staticTransport) Close() error                     { return nil }
+func (s *staticTransport) RoundTripCtx(context.Context, []byte) ([]byte, error) {
+	return s.resp, nil
+}
+func (s *staticTransport) Close() error { return nil }
 
 // FuzzClientResponse feeds arbitrary response bytes to the client-side
 // decoders (status/duration/payload framing, id lists, stats): a hostile
@@ -122,9 +126,10 @@ func FuzzClientResponse(f *testing.F) {
 	f.Add([]byte{statusOK})
 	f.Fuzz(func(t *testing.T, resp []byte) {
 		c := NewClient(&staticTransport{resp: resp})
-		c.List()  // id-list decoding
-		c.Stats() // stats decoding
-		c.Mode(1) // fixed-size payload decoding
+		ctx := context.Background()
+		c.ListCtx(ctx)    // id-list decoding
+		c.StatsCtx(ctx)   // stats decoding
+		c.ModeCtx(ctx, 1) // miniature-batch decoding
 	})
 }
 

@@ -13,19 +13,17 @@ import (
 	"minos/internal/pool"
 )
 
-// Protocol versions negotiated by the HELLO op. Version 1 is the original
-// lock-step protocol: one frame out, one frame back, strictly alternating.
-// Version 2 multiplexes many in-flight exchanges over one connection by
-// prefixing every frame (in both directions) with a 4-byte correlation id,
-// which is what lets the browse prefetch pipeline overlap delivery with
-// viewing instead of paying a full link round trip per cursor step.
-// Version 3 keeps v2's framing and adds server-push streams (see
-// stream.go): one correlation id may carry a whole sequence of stream
-// frames under credit-based flow control. Peers that negotiate v2 or v1
-// keep the single-frame paths byte for byte — stream ops are simply never
-// sent to them.
+// Protocol versions negotiated by the HELLO op, which must open every
+// connection. Version 2 is the floor: it multiplexes many in-flight
+// exchanges over one connection by prefixing every frame (in both
+// directions) with a 4-byte correlation id, which is what lets the browse
+// prefetch pipeline overlap delivery with viewing instead of paying a full
+// link round trip per cursor step. Version 3 keeps v2's framing and adds
+// server-push streams (see stream.go): one correlation id may carry a whole
+// sequence of stream frames under credit-based flow control. Peers that
+// negotiate v2 keep the single-frame paths byte for byte — stream ops are
+// simply never sent to them.
 const (
-	ProtocolV1 = 1
 	ProtocolV2 = 2
 	ProtocolV3 = 3
 )
@@ -48,12 +46,12 @@ type Pending interface {
 }
 
 // Pipeliner is a Transport that can carry many concurrent exchanges at
-// once. Transports that cannot (the lock-step TCPTransport) are adapted by
-// the client with a goroutine per call, which still overlaps the caller but
-// serializes on the wire.
+// once; each in-flight exchange also fails with the context's error when
+// ctx ends before the response. Transports that cannot pipeline are adapted
+// by the client with a goroutine per call.
 type Pipeliner interface {
 	Transport
-	Start(req []byte) Pending
+	StartCtx(ctx context.Context, req []byte) Pending
 }
 
 // --- correlation-id demultiplexer ---
@@ -200,12 +198,10 @@ func (d *demux) pendingLen() int {
 
 // --- client-side multiplexed transport ---
 
-// MuxTransport runs the protocol over a net.Conn with v2 multiplexed
-// framing when the server supports it: any number of calls may be in
-// flight concurrently on the one connection, each with its own correlation
-// id and optional per-call timeout. Against a v1 server the HELLO is
-// rejected and the transport degrades to serialized lock-step exchanges,
-// so old servers keep working.
+// MuxTransport runs the protocol over a net.Conn with v2+ multiplexed
+// framing: any number of calls may be in flight concurrently on the one
+// connection, each with its own correlation id and optional per-call
+// timeout.
 type MuxTransport struct {
 	conn    net.Conn
 	version int
@@ -216,25 +212,19 @@ type MuxTransport struct {
 	// callTimeout (nanoseconds) bounds each call; 0 = wait forever.
 	callTimeout atomic.Int64
 
-	// v2 state.
 	writeMu sync.Mutex
 	d       *demux
 	nextID  atomic.Uint32
-
-	// v1 fallback state: lock-step exchanges under one mutex.
-	legacyMu sync.Mutex
 }
 
 // DialMux connects to a wire server and negotiates the protocol version
-// with a HELLO. A v2 server upgrades the connection to multiplexed framing;
-// a v1 server (which answers HELLO with an unknown-op error) leaves the
-// transport in lock-step mode.
+// with a HELLO, upgrading the connection to multiplexed framing. A server
+// that refuses the HELLO or acknowledges a version below v2 fails the dial.
 func DialMux(addr string) (*MuxTransport, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	m := &MuxTransport{conn: conn, version: ProtocolV1}
 	hello := appendU32([]byte{OpHello}, ProtocolV3)
 	if err := WriteFrame(conn, hello); err != nil {
 		conn.Close()
@@ -245,16 +235,18 @@ func DialMux(addr string) (*MuxTransport, error) {
 		conn.Close()
 		return nil, err
 	}
-	if v, perr := parseHelloResponse(resp); perr == nil && v >= ProtocolV2 {
-		// Honour the server's negotiated version (capped at what we asked
-		// for): v2 servers get a pure-v2 client that never sends stream ops.
-		m.version = min(v, ProtocolV3)
-		m.helloExtra = parseHelloExtra(resp)
-		m.d = newDemux()
-		go m.readLoop()
+	v, err := parseHelloResponse(resp)
+	if err == nil && v < ProtocolV2 {
+		err = fmt.Errorf("wire: server acknowledged protocol v%d, need v%d or later", v, ProtocolV2)
 	}
-	// Any HELLO failure (a v1 server answers "unknown op") falls back to
-	// lock-step: the connection is still a perfectly good v1 transport.
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	// Honour the server's negotiated version (capped at what we asked for):
+	// v2 servers get a pure-v2 client that never sends stream ops.
+	m := &MuxTransport{conn: conn, version: min(v, ProtocolV3), helloExtra: parseHelloExtra(resp), d: newDemux()}
+	go m.readLoop()
 	return m, nil
 }
 
@@ -320,41 +312,29 @@ func (m *MuxTransport) readLoop() {
 	}
 }
 
-// muxPending is a v2 in-flight call.
+// muxPending is an in-flight call registered under its correlation id.
 type muxPending struct {
-	m       *muxPendingState
+	d       *demux
+	id      uint32
+	ch      chan muxResult
 	timeout time.Duration
-	ctx     context.Context // optional; non-nil calls also fail on ctx end
-}
-
-type muxPendingState struct {
-	d   *demux
-	id  uint32
-	ch  chan muxResult
-	err error // immediate failure (register/write)
+	ctx     context.Context // the call also fails when ctx ends
 }
 
 // Wait implements Pending.
 func (p *muxPending) Wait() ([]byte, error) {
-	if p.m.err != nil {
-		return nil, p.m.err
-	}
 	var timeoutC <-chan time.Time
 	if p.timeout > 0 {
 		t := time.NewTimer(p.timeout)
 		defer t.Stop()
 		timeoutC = t.C
 	}
-	var done <-chan struct{}
-	if p.ctx != nil {
-		done = p.ctx.Done()
-	}
 	select {
-	case r := <-p.m.ch:
+	case r := <-p.ch:
 		return r.resp, r.err
 	case <-timeoutC:
 		return p.abandon(fmt.Errorf("%w after %v", ErrCallTimeout, p.timeout))
-	case <-done:
+	case <-p.ctx.Done():
 		return p.abandon(p.ctx.Err())
 	}
 }
@@ -364,11 +344,9 @@ func (p *muxPending) Wait() ([]byte, error) {
 // between the trigger and the cancel; prefer the response if it is already
 // there.
 func (p *muxPending) abandon(err error) ([]byte, error) {
-	if p.m.d != nil {
-		p.m.d.cancel(p.m.id)
-	}
+	p.d.cancel(p.id)
 	select {
-	case r := <-p.m.ch:
+	case r := <-p.ch:
 		return r.resp, r.err
 	default:
 	}
@@ -380,19 +358,25 @@ type errPending struct{ err error }
 
 func (p errPending) Wait() ([]byte, error) { return nil, p.err }
 
-// Start implements Pipeliner: it sends the request and returns immediately;
-// Wait collects the response. In lock-step fallback mode the exchange runs
-// serialized in a goroutine, preserving Start's non-blocking contract.
-func (m *MuxTransport) Start(req []byte) Pending {
-	timeout := time.Duration(m.callTimeout.Load())
-	if m.version < ProtocolV2 {
-		ch := make(chan muxResult, 1)
-		go func() {
-			resp, err := m.legacyRoundTrip(req, timeout)
-			ch <- muxResult{resp: resp, err: err}
-		}()
-		return &muxPending{m: &muxPendingState{ch: ch}}
+// chanPending is a goroutine-backed call on a transport that cannot
+// pipeline.
+type chanPending chan muxResult
+
+func (p chanPending) Wait() ([]byte, error) {
+	r := <-p
+	return r.resp, r.err
+}
+
+// StartCtx implements Pipeliner: it sends the request and returns
+// immediately; Wait collects the response. The in-flight call additionally
+// fails with the context's error when ctx ends before the response: a
+// cancelled call releases its pending slot and any late response is
+// discarded by the demultiplexer; the connection stays usable.
+func (m *MuxTransport) StartCtx(ctx context.Context, req []byte) Pending {
+	if err := ctx.Err(); err != nil {
+		return errPending{err: err}
 	}
+	timeout := time.Duration(m.callTimeout.Load())
 	id := m.nextID.Add(1)
 	ch, err := m.d.register(id)
 	if err != nil {
@@ -410,7 +394,7 @@ func (m *MuxTransport) Start(req []byte) Pending {
 		m.d.cancel(id)
 		return errPending{err: werr}
 	}
-	return &muxPending{m: &muxPendingState{d: m.d, id: id, ch: ch}, timeout: timeout}
+	return &muxPending{d: m.d, id: id, ch: ch, timeout: timeout, ctx: ctx}
 }
 
 // muxFrame stages one v2 frame — [length u32][correlation id u32][msg] — in
@@ -424,56 +408,18 @@ func muxFrame(id uint32, msg []byte) []byte {
 	return out
 }
 
-// legacyRoundTrip is the v1 lock-step exchange with deadlines.
-func (m *MuxTransport) legacyRoundTrip(req []byte, timeout time.Duration) ([]byte, error) {
-	m.legacyMu.Lock()
-	defer m.legacyMu.Unlock()
-	if timeout > 0 {
-		m.conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := WriteFrame(m.conn, req); err != nil {
-		return nil, err
-	}
-	return ReadFrame(m.conn)
-}
-
-// StartCtx implements ContextPipeliner: the in-flight call additionally
-// fails with the context's error when ctx ends before the response. A
-// cancelled v2 call releases its pending slot and any late response is
-// discarded by the demultiplexer; the connection stays usable.
-func (m *MuxTransport) StartCtx(ctx context.Context, req []byte) Pending {
-	if err := ctx.Err(); err != nil {
-		return errPending{err: err}
-	}
-	p := m.Start(req)
-	if mp, ok := p.(*muxPending); ok && ctx.Done() != nil {
-		mp.ctx = ctx
-	}
-	return p
-}
-
-// RoundTrip implements Transport; it is safe for concurrent use and, in v2
-// mode, concurrent calls really are in flight together on the wire.
-func (m *MuxTransport) RoundTrip(req []byte) ([]byte, error) {
-	return m.Start(req).Wait()
-}
-
-// RoundTripCtx implements ContextTransport.
+// RoundTripCtx implements Transport; it is safe for concurrent use, and
+// concurrent calls really are in flight together on the wire.
 func (m *MuxTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	return m.StartCtx(ctx, req).Wait()
 }
 
-// PendingCalls reports the number of in-flight v2 calls still awaiting a
-// response (always 0 in lock-step fallback mode). The fault-matrix tests
-// use it to assert that faults never leak pending-call table entries.
-func (m *MuxTransport) PendingCalls() int {
-	if m.d == nil {
-		return 0
-	}
-	return m.d.pendingLen()
-}
+// PendingCalls reports the number of in-flight calls still awaiting a
+// response. The fault-matrix tests use it to assert that faults never leak
+// pending-call table entries.
+func (m *MuxTransport) PendingCalls() int { return m.d.pendingLen() }
 
-// Close implements Transport; pending v2 calls fail with ErrTransportClosed.
+// Close implements Transport; pending calls fail with ErrTransportClosed.
 func (m *MuxTransport) Close() error { return m.conn.Close() }
 
 // --- server side ---

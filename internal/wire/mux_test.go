@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +37,7 @@ func TestMuxNegotiation(t *testing.T) {
 		t.Fatalf("negotiated version = %d, want %d", tp.Version(), ProtocolV3)
 	}
 	c := NewClient(tp)
-	ids, _, err := c.Query("lung")
+	ids, _, err := c.QueryCtx(context.Background(), "lung")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					ids, _, err := c.Query("lung")
+					ids, _, err := c.QueryCtx(context.Background(), "lung")
 					if err == nil && (len(ids) != 1 || ids[0] != 1) {
 						err = fmt.Errorf("query = %v", ids)
 					}
@@ -73,7 +75,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 						return
 					}
 				case 1:
-					d, _, err := c.Descriptor(2)
+					d, _, err := c.DescriptorCtx(context.Background(), 2)
 					if err == nil && d.Title != "heart" {
 						err = fmt.Errorf("descriptor = %+v", d)
 					}
@@ -82,7 +84,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 						return
 					}
 				default:
-					m, _, err := c.Miniature(3)
+					m, err := miniature(c, 3)
 					if err == nil && m.PopCount() == 0 {
 						err = fmt.Errorf("blank miniature")
 					}
@@ -112,10 +114,10 @@ func TestMuxOutOfOrderWait(t *testing.T) {
 
 	// Start three calls, wait for them in reverse order: each must still
 	// get its own response.
-	a := c.MiniaturesStart([]object.ID{1})
-	b := c.MiniaturesStart([]object.ID{2})
-	d := c.MiniaturesStart([]object.ID{3})
-	for _, pm := range []*PendingMiniatures{d, b, a} {
+	a := c.StartMiniatures(context.Background(), []object.ID{1})
+	b := c.StartMiniatures(context.Background(), []object.ID{2})
+	d := c.StartMiniatures(context.Background(), []object.ID{3})
+	for _, pm := range []MiniatureBatch{d, b, a} {
 		res, _, err := pm.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -126,15 +128,17 @@ func TestMuxOutOfOrderWait(t *testing.T) {
 	}
 }
 
-// lockstepV1 simulates a pre-HELLO server: strict request/response framing
-// and every unknown op (including OpHello) answered with an error.
-func lockstepV1(t testing.TB, h *Handler) string {
+// v1AckServer answers the HELLO on every connection with a version-1
+// acknowledgement — a peer below the protocol floor — and reports each
+// connection's close to closed.
+func v1AckServer(t testing.TB) (addr string, closed <-chan struct{}) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	done := make(chan struct{}, 1)
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -143,74 +147,74 @@ func lockstepV1(t testing.TB, h *Handler) string {
 			}
 			go func() {
 				defer conn.Close()
-				for {
-					req, err := ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					if len(req) > 0 && req[0] >= OpHello {
-						resp = errResp(fmt.Errorf("unknown op %d", req[0]))
-					} else {
-						resp = h.Handle(req)
-					}
-					if WriteFrame(conn, resp) != nil {
-						return
-					}
+				if _, err := ReadFrame(conn); err != nil {
+					return
 				}
+				WriteFrame(conn, okResp(0, appendU32(nil, 1)))
+				ReadFrame(conn) // blocks until the client hangs up
+				done <- struct{}{}
 			}()
 		}
 	}()
-	return l.Addr().String()
+	return l.Addr().String(), done
 }
 
-func TestMuxFallbackToLockstep(t *testing.T) {
-	addr := lockstepV1(t, &Handler{Srv: testServer(t)})
-	tp, err := DialMux(addr)
+// TestDialMuxRejectsV1Ack: a listener that acknowledges HELLO with v1 is
+// below the floor, so DialMux fails and hangs up that connection, while a
+// mux client of a real server keeps being served.
+func TestDialMuxRejectsV1Ack(t *testing.T) {
+	good, err := DialMux(serveTCP(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Version() != ProtocolV1 {
-		t.Fatalf("version against v1 server = %d, want %d", tp.Version(), ProtocolV1)
-	}
-	c := NewClient(tp)
+	c := NewClient(good)
 	defer c.Close()
-	ids, _, err := c.Query("heart")
-	if err != nil {
-		t.Fatal(err)
+
+	addr, closed := v1AckServer(t)
+	if tp, err := DialMux(addr); err == nil {
+		tp.Close()
+		t.Fatal("DialMux accepted a v1 acknowledgement")
 	}
-	if len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("fallback Query = %v", ids)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("DialMux left the v1 connection open")
 	}
-	// The pipelined API still works against a v1 server (serialized
-	// lock-step under the hood), using ops the old server understands.
-	var pends []Pending
-	for _, id := range []object.ID{1, 2, 3} {
-		pends = append(pends, tp.Start(appendU64([]byte{OpMiniature}, uint64(id))))
-	}
-	for i, p := range pends {
-		resp, err := p.Wait()
-		if err != nil {
-			t.Fatalf("fallback pipelined call %d: %v", i, err)
-		}
-		if _, _, err := parseResponse(resp); err != nil {
-			t.Fatalf("fallback pipelined call %d: %v", i, err)
-		}
+	if _, _, err := c.ListCtx(context.Background()); err != nil {
+		t.Fatalf("mux client after the refused dial: %v", err)
 	}
 }
 
+// rawExchange opens a bare TCP connection, sends req as its first frame and
+// returns the one response; it then checks the server hung up.
+func rawExchange(t *testing.T, addr string, req []byte) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteFrame(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("no response to first frame %v: %v", req, err)
+	}
+	if _, err := ReadFrame(conn); err == nil {
+		t.Fatalf("connection still open after refusing first frame %v", req)
+	}
+	return resp
+}
+
+// TestV1ClientAgainstV2Server: a connection must open with a HELLO that
+// negotiates v2 or later. A lock-step v1 client (first frame not a HELLO)
+// and a HELLO(1) or HELLO(0) each get one error response, then that
+// connection alone is closed; a mux client on the same server keeps being
+// served.
 func TestV1ClientAgainstV2Server(t *testing.T) {
 	addr := serveTCP(t)
-	// Old-style lock-step client: never sends HELLO, must be served
-	// unchanged by a server that also understands v2.
-	tp, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := NewClient(tp)
-	defer v1.Close()
-
-	// A mux client shares the server concurrently.
 	mtp, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -218,31 +222,23 @@ func TestV1ClientAgainstV2Server(t *testing.T) {
 	v2 := NewClient(mtp)
 	defer v2.Close()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if _, _, err := v1.List(); err != nil {
-				errs <- fmt.Errorf("v1 client: %w", err)
-				return
-			}
+	for _, tc := range []struct {
+		first []byte
+		want  string
+	}{
+		{[]byte{OpList}, "first frame must be HELLO"},
+		{appendU64([]byte{OpMiniature}, 3), "first frame must be HELLO"},
+		{[]byte{}, "first frame must be HELLO"},
+		{appendU32([]byte{OpHello}, 1), "unsupported protocol version"},
+		{appendU32([]byte{OpHello}, 0), "unsupported protocol version"},
+	} {
+		_, _, err := parseResponse(rawExchange(t, addr, tc.first))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("first frame %v: err = %v, want %q", tc.first, err, tc.want)
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if _, _, err := v2.Miniature(3); err != nil {
-				errs <- fmt.Errorf("v2 client: %w", err)
-				return
-			}
+		if _, err := miniature(v2, 3); err != nil {
+			t.Fatalf("mux client after refused frame %v: %v", tc.first, err)
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 
@@ -307,7 +303,7 @@ func TestMuxCallTimeout(t *testing.T) {
 	}
 	tp.SetCallTimeout(50 * time.Millisecond)
 	start := time.Now()
-	_, err = tp.RoundTrip([]byte{OpList})
+	_, err = tp.RoundTripCtx(context.Background(), []byte{OpList})
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("stalled call error = %v, want ErrCallTimeout", err)
 	}
@@ -332,7 +328,7 @@ func TestMuxConnectionDeathFailsPending(t *testing.T) {
 	// error wrapping ErrTransportClosed, and later calls must fail fast.
 	var pends []Pending
 	for i := 0; i < 4; i++ {
-		pends = append(pends, tp.Start([]byte{OpList}))
+		pends = append(pends, tp.StartCtx(context.Background(), []byte{OpList}))
 	}
 	stop()
 	for i, p := range pends {
@@ -340,55 +336,38 @@ func TestMuxConnectionDeathFailsPending(t *testing.T) {
 			t.Fatalf("pending %d after death: %v, want ErrTransportClosed", i, err)
 		}
 	}
-	if _, err := tp.Start([]byte{OpList}).Wait(); !errors.Is(err, ErrTransportClosed) {
+	if _, err := tp.StartCtx(context.Background(), []byte{OpList}).Wait(); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("post-death call error = %v", err)
 	}
 }
 
-// TestTCPTimeoutAgainstDeadServer is the satellite fix: a lock-step client
-// calling a server that accepts but never answers must fail by deadline,
-// not hang forever.
+// TestTCPTimeoutAgainstDeadServer: a client calling a server that accepts
+// (and negotiates) but never answers must fail by its context deadline, not
+// hang forever, and must not leak the call's pending-table slot.
 func TestTCPTimeoutAgainstDeadServer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			// Read and discard forever; never respond.
-			buf := make([]byte, 1024)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	tp, err := Dial(l.Addr().String())
+	addr, _ := stalledServer(t)
+	tp, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	tp.SetTimeout(100 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := tp.RoundTrip([]byte{OpList})
+		_, err := tp.RoundTripCtx(ctx, []byte{OpList})
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		var nerr net.Error
-		if !errors.As(err, &nerr) || !nerr.Timeout() {
-			t.Fatalf("dead-server call error = %v, want timeout", err)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("dead-server call error = %v, want deadline exceeded", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RoundTrip hung against dead server despite SetTimeout")
+		t.Fatal("RoundTripCtx hung against dead server despite its deadline")
+	}
+	if n := tp.PendingCalls(); n != 0 {
+		t.Fatalf("%d pending calls leaked after deadline", n)
 	}
 }
 
@@ -400,8 +379,8 @@ func TestLocalTransportBatchWindow(t *testing.T) {
 	req := []byte{OpList}
 
 	// Two overlapping exchanges: latency charged once.
-	a := lt.Start(req)
-	b := lt.Start(req)
+	a := lt.StartCtx(context.Background(), req)
+	b := lt.StartCtx(context.Background(), req)
 	if _, err := a.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +393,10 @@ func TestLocalTransportBatchWindow(t *testing.T) {
 
 	// Two sequential exchanges: latency charged per round trip.
 	lt.ResetStats()
-	if _, err := lt.RoundTrip(req); err != nil {
+	if _, err := lt.RoundTripCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lt.RoundTrip(req); err != nil {
+	if _, err := lt.RoundTripCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	if got := lt.Stats().LinkTime; got != 4*lt.Latency {
@@ -426,10 +405,10 @@ func TestLocalTransportBatchWindow(t *testing.T) {
 
 	// Wait is idempotent: a second Wait must not reopen the window.
 	lt.ResetStats()
-	p := lt.Start(req)
+	p := lt.StartCtx(context.Background(), req)
 	p.Wait()
 	p.Wait()
-	if _, err := lt.RoundTrip(req); err != nil {
+	if _, err := lt.RoundTripCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	if got := lt.Stats().LinkTime; got != 4*lt.Latency {
@@ -440,7 +419,7 @@ func TestLocalTransportBatchWindow(t *testing.T) {
 func TestMiniaturesBatch(t *testing.T) {
 	c, lt := localClient(t)
 	lt.ResetStats()
-	res, _, err := c.Miniatures([]object.ID{3, 42, 1})
+	res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{3, 42, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,8 +442,8 @@ func TestMiniaturesBatch(t *testing.T) {
 		t.Fatalf("entry 2 = %+v", res[2])
 	}
 
-	// The batch must agree with the lock-step path bit for bit.
-	single, _, err := c.Miniature(3)
+	// A batch of one must agree with the wider batch.
+	single, err := miniature(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +451,7 @@ func TestMiniaturesBatch(t *testing.T) {
 		t.Fatalf("batched miniature diverges from single fetch")
 	}
 
-	if _, _, err := c.Miniatures(nil); err != nil {
+	if _, _, err := c.MiniaturesCtx(context.Background(), nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -520,13 +499,13 @@ func BenchmarkMuxConcurrentMiniatures(b *testing.B) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	if _, _, err := c.Miniature(3); err != nil { // warm the block cache
+	if _, err := miniature(c, 3); err != nil { // warm the block cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := c.Miniature(3); err != nil {
+			if _, err := miniature(c, 3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -538,7 +517,7 @@ func BenchmarkMuxBatchedMiniatures(b *testing.B) {
 	ids := []object.ID{1, 2, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Miniatures(ids); err != nil {
+		if _, _, err := c.MiniaturesCtx(context.Background(), ids); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,7 +44,7 @@ func TestQueryPlannedOverWire(t *testing.T) {
 	c := NewClient(EthernetLink(&Handler{Srv: plannedTestServer(t)}))
 	got := func(q index.Query) []object.ID {
 		t.Helper()
-		ids, _, err := c.QueryPlanned(q)
+		ids, _, err := c.QueryPlannedCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,26 +102,19 @@ func TestQueryPlannedRejectsHostileRequests(t *testing.T) {
 	}
 }
 
-// TestQueryPlannedFallback runs the planned op against a pre-planner server
-// (every op past the legacy set answered unknown-op): filterless planned
-// queries must fall back to OpQuery; queries with predicates must fail
-// rather than silently drop their filters.
-func TestQueryPlannedFallback(t *testing.T) {
-	addr := lockstepV1(t, &Handler{Srv: plannedTestServer(t)})
-	tp, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(tp)
-	defer c.Close()
-	ids, _, err := c.QueryPlanned(index.Query{Terms: []string{"lung", "shadow"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
-		t.Fatalf("fallback query = %v", ids)
-	}
-	if _, _, err := c.QueryPlanned(index.Query{Terms: []string{"lung"}, Kind: index.KindAudio}); err == nil {
-		t.Fatal("filtered query silently degraded on a pre-planner server")
+// TestRetiredOpsAnswerUnknownOp: ops 1 (OpQuery), 4 (OpMiniature) and 6
+// (OpMode) are retired — well-formed requests for them get the handler's
+// "unknown op" error, like any op it never had.
+func TestRetiredOpsAnswerUnknownOp(t *testing.T) {
+	h := &Handler{Srv: plannedTestServer(t)}
+	for _, req := range [][]byte{
+		appendStr(appendU32([]byte{OpQuery}, 1), "lung"),
+		appendU64([]byte{OpMiniature}, 1),
+		appendU64([]byte{OpMode}, 1),
+	} {
+		_, _, err := parseResponse(h.Handle(req))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", req[0])) {
+			t.Fatalf("retired op %d: err = %v, want unknown op", req[0], err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"testing"
 
 	"minos/internal/server"
@@ -42,30 +43,21 @@ func TestStatsTaggedSkipsUnknownTags(t *testing.T) {
 	}
 }
 
-// TestStatsPositionalFallback: the client still decodes the pre-tagged
-// positional layout (six required u64 fields plus the optional seventh),
-// so it keeps working against old servers.
-func TestStatsPositionalFallback(t *testing.T) {
-	var payload []byte
+// TestStatsRejectsUntagged: a stats payload without the tagged marker (the
+// retired positional layout, or nothing at all) is an error, not a guess.
+func TestStatsRejectsUntagged(t *testing.T) {
+	var positional []byte
 	for _, v := range []uint64{1, 2, 3, 4, 5, 6, 7} {
-		payload = appendU64(payload, v)
+		positional = appendU64(positional, v)
 	}
-	got, err := decodeStatsPositional(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := server.Stats{PieceReads: 1, BytesOut: 2, CacheHits: 3, CacheMiss: 4,
-		DeviceWaits: 5, DeviceWaitNanos: 6, ReadAheadBlocks: 7}
-	if got != want {
-		t.Fatalf("positional decode = %+v, want %+v", got, want)
-	}
-	// Six-field layout (servers predating read-ahead) still decodes.
-	got, err = decodeStatsPositional(payload[:48])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ReadAheadBlocks != 0 || got.DeviceWaitNanos != 6 {
-		t.Fatalf("six-field decode = %+v", got)
+	for _, payload := range [][]byte{positional, nil} {
+		if st, err := decodeStatsTagged(payload); err == nil {
+			t.Fatalf("untagged payload (%d bytes) decoded as %+v", len(payload), st)
+		}
+		c := NewClient(&staticTransport{resp: okResp(0, payload)})
+		if _, err := c.StatsCtx(context.Background()); err == nil {
+			t.Fatalf("StatsCtx accepted an untagged payload (%d bytes)", len(payload))
+		}
 	}
 }
 
@@ -73,10 +65,10 @@ func TestStatsPositionalFallback(t *testing.T) {
 // current server emits.
 func TestStatsOverWire(t *testing.T) {
 	c, _ := localClient(t)
-	if _, _, err := c.ReadPiece(0, 64); err != nil {
+	if _, _, err := c.ReadPieceCtx(context.Background(), 0, 64); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -84,6 +85,12 @@ var errStreamCancelled = errors.New("wire: stream cancelled")
 // negotiated streams, or an older server rejected the op as unknown.
 func StreamFallback(err error) bool {
 	return errors.Is(err, ErrStreamUnsupported) || isUnknownOp(err)
+}
+
+// isUnknownOp reports whether err is a server rejection of an op it does
+// not implement (an older protocol peer).
+func isUnknownOp(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "unknown op")
 }
 
 // --- frame codec ---
@@ -803,7 +810,7 @@ func (s *muxStream) Close() error {
 // an open failure (which arrives as an ordinary error response under the
 // stream's id — same classification as any batch call).
 func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time.Duration, StreamConn, error) {
-	if m.version < ProtocolV3 || m.d == nil {
+	if m.version < ProtocolV3 {
 		return nil, 0, nil, ErrStreamUnsupported
 	}
 	if ctx == nil {
@@ -860,12 +867,7 @@ func (m *MuxTransport) OpenStream(ctx context.Context, req []byte) ([]byte, time
 
 // OpenStreams reports the number of registered client-side streams (leak
 // checks, mirroring PendingCalls).
-func (m *MuxTransport) OpenStreams() int {
-	if m.d == nil {
-		return 0
-	}
-	return m.d.streamLen()
-}
+func (m *MuxTransport) OpenStreams() int { return m.d.streamLen() }
 
 // --- LocalTransport streams ---
 

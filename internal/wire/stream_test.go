@@ -128,7 +128,7 @@ func TestVoiceStreamOverMux(t *testing.T) {
 	}
 	// Batched calls share the connection mid-stream unharmed — and nothing
 	// leaks after the clean end.
-	if _, _, err := c.Miniature(3); err != nil {
+	if _, err := miniature(c, 3); err != nil {
 		t.Fatalf("batched call after stream: %v", err)
 	}
 	if n := tp.OpenStreams(); n != 0 {
@@ -170,7 +170,7 @@ func TestMiniatureStreamOverMux(t *testing.T) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	want, _, err := c.Miniature(3)
+	want, err := miniature(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,22 +383,23 @@ func TestStreamOpsGatedBehindV3(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackAgainstV1: a v1 peer (no HELLO at all) makes OpenStream
-// fail with ErrStreamUnsupported before anything hits the wire.
-func TestStreamFallbackAgainstV1(t *testing.T) {
-	addr := lockstepV1(t, &Handler{Srv: testServer(t)})
+// TestStreamFallbackAgainstV2: a transport that negotiated v2 makes
+// OpenStream fail with ErrStreamUnsupported before anything hits the wire
+// (the stalled peer never answers, so a sent open would hang).
+func TestStreamFallbackAgainstV2(t *testing.T) {
+	addr, _ := stalledServer(t)
 	tp, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	if tp.Version() != ProtocolV1 {
-		t.Fatalf("version = %d, want %d", tp.Version(), ProtocolV1)
+	if tp.Version() != ProtocolV2 {
+		t.Fatalf("version = %d, want %d", tp.Version(), ProtocolV2)
 	}
 	c := NewClient(tp)
 	_, _, serr := c.VoiceStreamCtx(context.Background(), 3, 0, 1024)
 	if !errors.Is(serr, ErrStreamUnsupported) {
-		t.Fatalf("stream against v1 peer = %v, want ErrStreamUnsupported", serr)
+		t.Fatalf("stream against v2 peer = %v, want ErrStreamUnsupported", serr)
 	}
 	if !StreamFallback(serr) {
 		t.Fatal("ErrStreamUnsupported must classify as fallback")
@@ -592,7 +593,7 @@ func TestStreamCancelRaceWithBatches(t *testing.T) {
 	}
 	c := NewClient(tp)
 	defer c.Close()
-	if _, _, err := c.Miniature(3); err != nil { // settle the connection
+	if _, err := miniature(c, 3); err != nil { // settle the connection
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -612,7 +613,7 @@ func TestStreamCancelRaceWithBatches(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for k := 0; k < 4; k++ {
-					res, _, err := c.Miniatures([]object.ID{1, 2, 3})
+					res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{1, 2, 3})
 					if err != nil {
 						errc <- err
 						return

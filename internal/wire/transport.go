@@ -17,7 +17,7 @@ import (
 // both directions, which the view/miniature transfer experiments measure.
 //
 // The latency model is pipelining-aware: exchanges overlapping in flight
-// (Start called before earlier calls Wait) form one batch window and pay
+// (StartCtx called before earlier calls Wait) form one batch window and pay
 // the propagation latency once, while every frame always pays its own
 // bandwidth cost. Without this, an A/B between lock-step and pipelined
 // browsing would bill the pipelined side a full round-trip latency per
@@ -35,7 +35,7 @@ type LocalTransport struct {
 	bytesRecv   int64  // server -> workstation
 	roundTrips  int64
 	linkTime    time.Duration
-	outstanding int // in-flight exchanges (Start issued, Wait pending)
+	outstanding int // in-flight exchanges (StartCtx issued, Wait pending)
 }
 
 // EthernetLink approximates the paper-era 10 Mbit/s Ethernet.
@@ -62,12 +62,17 @@ func (p *localPending) Wait() ([]byte, error) {
 	return p.resp, nil
 }
 
-// Start implements Pipeliner. The handler runs immediately (the simulated
-// link defers cost accounting, not work); the exchange stays open until
-// Wait, and only the exchange that opens a batch window pays the link's
-// round-trip latency. Each transport serves one simulated workstation, so
-// it claims one tenant identity for the server's fairness machinery.
-func (l *LocalTransport) Start(req []byte) Pending {
+// StartCtx implements Pipeliner. The handler runs immediately (the
+// simulated link defers cost accounting, not work); the exchange stays open
+// until Wait, and only the exchange that opens a batch window pays the
+// link's round-trip latency. Since the exchange itself cannot block,
+// honouring the context means refusing to start once it has ended. Each
+// transport serves one simulated workstation, so it claims one tenant
+// identity for the server's fairness machinery.
+func (l *LocalTransport) StartCtx(ctx context.Context, req []byte) Pending {
+	if err := ctx.Err(); err != nil {
+		return errPending{err: err}
+	}
 	l.mu.Lock()
 	if l.tenant == 0 {
 		l.tenant = l.H.NewTenant()
@@ -89,33 +94,10 @@ func (l *LocalTransport) Start(req []byte) Pending {
 	return &localPending{l: l, resp: resp}
 }
 
-// RoundTrip implements Transport; a lone round trip is a batch window of
-// one and pays the full latency, as before.
-func (l *LocalTransport) RoundTrip(req []byte) ([]byte, error) {
-	return l.Start(req).Wait()
-}
-
-// RoundTripCtx implements ContextTransport. The simulated link defers cost
-// accounting, not work, so the exchange itself cannot block: honouring the
-// context means refusing to start once it has ended.
+// RoundTripCtx implements Transport; a lone round trip is a batch window of
+// one and pays the full latency.
 func (l *LocalTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.RoundTrip(req)
-}
-
-// StartCtx implements ContextPipeliner (see RoundTripCtx on the blocking
-// question).
-func (l *LocalTransport) StartCtx(ctx context.Context, req []byte) Pending {
-	if err := ctx.Err(); err != nil {
-		return errPending{err: err}
-	}
-	return l.Start(req)
-}
-
-func (l *LocalTransport) cost(n int) time.Duration {
-	return l.Latency + l.byteCost(n)
+	return l.StartCtx(ctx, req).Wait()
 }
 
 // byteCost is the transfer time of n bytes at the link bandwidth.
@@ -150,89 +132,6 @@ func (l *LocalTransport) ResetStats() {
 	defer l.mu.Unlock()
 	l.bytesSent, l.bytesRecv, l.roundTrips, l.linkTime = 0, 0, 0, 0
 }
-
-// TCPTransport runs the protocol over a net.Conn, lock-step (protocol v1).
-type TCPTransport struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration
-}
-
-// Dial connects to a wire server.
-func Dial(addr string) (*TCPTransport, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPTransport{conn: conn}, nil
-}
-
-// SetTimeout bounds every subsequent RoundTrip (write + read) with a
-// connection deadline, so a dead or stalled server fails the call instead
-// of hanging the client forever. Zero restores unbounded waits.
-//
-// Deprecated: pass a context with a deadline to the client's ctx-first
-// methods (QueryCtx etc.) instead — RoundTripCtx translates it into the
-// connection deadline per call, and cancellation works mid-call.
-func (t *TCPTransport) SetTimeout(d time.Duration) {
-	t.mu.Lock()
-	t.timeout = d
-	t.mu.Unlock()
-}
-
-// RoundTrip implements Transport; exchanges are serialized per connection.
-func (t *TCPTransport) RoundTrip(req []byte) ([]byte, error) {
-	return t.RoundTripCtx(context.Background(), req)
-}
-
-// RoundTripCtx implements ContextTransport: a context deadline becomes the
-// connection deadline for this exchange (tightened by any SetTimeout value),
-// and cancellation mid-call forces the blocked read to fail immediately by
-// expiring the deadline.
-func (t *TCPTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	deadline := time.Time{}
-	if t.timeout > 0 {
-		deadline = time.Now().Add(t.timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	t.conn.SetDeadline(deadline)
-	if ctx.Done() != nil {
-		// Cancellation (not just deadline expiry) must unblock the read:
-		// yank the connection deadline to the past when ctx ends.
-		stop := context.AfterFunc(ctx, func() {
-			t.conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
-	if err := WriteFrame(t.conn, req); err != nil {
-		return nil, wrapCtxErr(ctx, err)
-	}
-	resp, err := ReadFrame(t.conn)
-	return resp, wrapCtxErr(ctx, err)
-}
-
-// wrapCtxErr maps a connection error caused by context cancellation back to
-// the context's error, so callers see context.Canceled, not a confusing
-// i/o timeout.
-func wrapCtxErr(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("%w (%v)", cerr, err)
-	}
-	return err
-}
-
-// Close implements Transport.
-func (t *TCPTransport) Close() error { return t.conn.Close() }
 
 // isCleanClose reports whether a connection read error is an ordinary
 // hang-up (EOF, closed connection) rather than something worth logging.
@@ -310,57 +209,49 @@ func ServeWith(l net.Listener, h *Handler, opts ServeOpts) error {
 				connMu.Unlock()
 				conn.Close()
 			}()
-			var hdr [4]byte // per-connection frame-header scratch
-			for {
-				if opts.IdleTimeout > 0 {
-					conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
-				}
-				req, err := readFramePooled(conn, &hdr)
-				if err != nil {
-					if !isCleanClose(err) {
-						logf("wire: %s: read: %w", conn.RemoteAddr(), err)
-					}
-					return
-				}
-				var resp []byte
-				if opts.Serialize {
-					serialMu.Lock()
-					resp = h.HandleAs(tenant, req)
-					serialMu.Unlock()
-				} else {
-					resp = h.HandleAs(tenant, req)
-				}
-				if err := writeFramePooled(conn, resp); err != nil {
-					if !errors.Is(err, net.ErrClosed) {
-						logf("wire: %s: write: %w", conn.RemoteAddr(), err)
-					}
-					return
-				}
-				// A HELLO negotiating v2 or higher upgrades this
-				// connection to multiplexed framing; the acknowledgement
-				// just written was the last lock-step frame. The negotiated
-				// version gates the stream ops: a v2 peer's connection
-				// serves them through the normal path, which answers
-				// "unknown op" exactly as before.
-				upgrade := len(req) == 5 && req[0] == OpHello && resp[0] == statusOK
-				version := 0
-				if upgrade {
-					if v, err := parseHelloResponse(resp); err == nil {
-						version = v
-					}
-					if version < ProtocolV2 {
-						upgrade = false
-					}
-				}
-				// The loop is the last holder of both frames: the response
-				// is written out, the request parsed and copied from.
-				pool.Bytes.Put(req)
-				recycleResponse(resp)
-				if upgrade {
-					muxConn(conn, tenant, version, h, opts, &serialMu, logf)
-					return
-				}
+			if version, ok := hello(conn, tenant, h, opts, logf); ok {
+				muxConn(conn, tenant, version, h, opts, &serialMu, logf)
 			}
 		}(conn)
 	}
+}
+
+// hello runs a connection's opening exchange. The first frame must be a
+// HELLO negotiating v2 or higher; anything else gets one error response,
+// after which the caller closes the connection. ok reports a successful
+// upgrade to multiplexed framing at the negotiated version.
+func hello(conn net.Conn, tenant uint64, h *Handler, opts ServeOpts, logf func(format string, args ...any)) (version int, ok bool) {
+	if opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
+	}
+	var hdr [4]byte
+	req, err := readFramePooled(conn, &hdr)
+	if err != nil {
+		if !isCleanClose(err) {
+			logf("wire: %s: read: %w", conn.RemoteAddr(), err)
+		}
+		return 0, false
+	}
+	var resp []byte
+	if len(req) > 0 && req[0] == OpHello {
+		resp = h.HandleAs(tenant, req)
+		version, err = parseHelloResponse(resp)
+	} else {
+		err = fmt.Errorf("wire: first frame must be HELLO (got %d bytes)", len(req))
+		resp = errResp(err)
+	}
+	pool.Bytes.Put(req)
+	werr := writeFramePooled(conn, resp)
+	recycleResponse(resp)
+	switch {
+	case werr != nil:
+		if !errors.Is(werr, net.ErrClosed) {
+			logf("wire: %s: write: %w", conn.RemoteAddr(), werr)
+		}
+		return 0, false
+	case err != nil:
+		logf("wire: %s: hello: %w", conn.RemoteAddr(), err)
+		return 0, false
+	}
+	return version, true
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -54,16 +56,28 @@ func localClient(t testing.TB) (*Client, *LocalTransport) {
 	return NewClient(lt), lt
 }
 
+// miniature fetches one miniature as a batch of one.
+func miniature(c *Client, id object.ID) (*img.Bitmap, error) {
+	res, _, err := c.MiniaturesCtx(context.Background(), []object.ID{id})
+	if err != nil {
+		return nil, err
+	}
+	if !res[0].OK {
+		return nil, fmt.Errorf("no miniature for object %d", id)
+	}
+	return res[0].Mini, nil
+}
+
 func TestQueryOverWire(t *testing.T) {
 	c, _ := localClient(t)
-	ids, _, err := c.Query("lung")
+	ids, _, err := c.QueryCtx(context.Background(), "lung")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 1 || ids[0] != 1 {
 		t.Fatalf("Query = %v", ids)
 	}
-	ids, _, err = c.Query("the")
+	ids, _, err = c.QueryCtx(context.Background(), "the")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +88,7 @@ func TestQueryOverWire(t *testing.T) {
 
 func TestDescriptorAndPiecesOverWire(t *testing.T) {
 	c, _ := localClient(t)
-	d, dur, err := c.Descriptor(1)
+	d, dur, err := c.DescriptorCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,29 +110,29 @@ func TestDescriptorAndPiecesOverWire(t *testing.T) {
 
 func TestMiniatureOverWire(t *testing.T) {
 	c, _ := localClient(t)
-	m, _, err := c.Miniature(3)
+	m, err := miniature(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.PopCount() == 0 {
 		t.Fatal("blank miniature")
 	}
-	if _, _, err := c.Miniature(42); err == nil || !strings.Contains(err.Error(), "miniature") {
+	if _, err := miniature(c, 42); err == nil || !strings.Contains(err.Error(), "miniature") {
 		t.Fatalf("missing miniature err = %v", err)
 	}
 }
 
 func TestListAndMode(t *testing.T) {
 	c, _ := localClient(t)
-	ids, _, err := c.List()
+	ids, _, err := c.ListCtx(context.Background())
 	if err != nil || len(ids) != 3 {
 		t.Fatalf("List = %v, %v", ids, err)
 	}
-	m, err := c.Mode(3)
+	m, err := c.ModeCtx(context.Background(), 3)
 	if err != nil || m != object.Audio {
 		t.Fatalf("Mode = %v, %v", m, err)
 	}
-	if _, err := c.Mode(42); err == nil {
+	if _, err := c.ModeCtx(context.Background(), 42); err == nil {
 		t.Fatal("mode of missing object")
 	}
 }
@@ -126,7 +140,7 @@ func TestListAndMode(t *testing.T) {
 func TestLinkAccounting(t *testing.T) {
 	c, lt := localClient(t)
 	lt.ResetStats()
-	if _, _, err := c.ReadPiece(0, 4096); err != nil {
+	if _, _, err := c.ReadPieceCtx(context.Background(), 0, 4096); err != nil {
 		t.Fatal(err)
 	}
 	st := lt.Stats()
@@ -141,7 +155,7 @@ func TestLinkAccounting(t *testing.T) {
 	}
 	// A smaller read moves fewer bytes.
 	lt.ResetStats()
-	c.ReadPiece(0, 128)
+	c.ReadPieceCtx(context.Background(), 0, 128)
 	small := lt.Stats()
 	if small.BytesRecv >= st.BytesRecv {
 		t.Fatalf("small read moved %d vs %d", small.BytesRecv, st.BytesRecv)
@@ -158,7 +172,7 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-func TestTCPTransport(t *testing.T) {
+func TestMuxTransportOverTCP(t *testing.T) {
 	srv := testServer(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -167,27 +181,27 @@ func TestTCPTransport(t *testing.T) {
 	defer l.Close()
 	go Serve(l, &Handler{Srv: srv})
 
-	tp, err := Dial(l.Addr().String())
+	tp, err := DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(tp)
 	defer c.Close()
 
-	ids, _, err := c.Query("lung")
+	ids, _, err := c.QueryCtx(context.Background(), "lung")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 1 || ids[0] != 1 {
 		t.Fatalf("tcp Query = %v", ids)
 	}
-	d, _, err := c.Descriptor(2)
+	d, _, err := c.DescriptorCtx(context.Background(), 2)
 	if err != nil || d.Title != "heart" {
 		t.Fatalf("tcp Descriptor = %+v, %v", d, err)
 	}
 	// Multiple sequential calls on the same connection.
 	for i := 0; i < 5; i++ {
-		if _, _, err := c.List(); err != nil {
+		if _, _, err := c.ListCtx(context.Background()); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -214,8 +228,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestEthernetCostModel(t *testing.T) {
 	lt := EthernetLink(nil)
-	t1 := lt.cost(0)
-	t2 := lt.cost(1_250_000) // 1 second at 10 Mbit/s
+	t1 := lt.Latency + lt.byteCost(0)
+	t2 := lt.Latency + lt.byteCost(1_250_000) // 1 second at 10 Mbit/s
 	if t1 != lt.Latency {
 		t.Fatalf("zero-byte cost = %v", t1)
 	}
@@ -227,7 +241,7 @@ func TestEthernetCostModel(t *testing.T) {
 func TestImageViewOverWire(t *testing.T) {
 	c, lt := localClient(t)
 	lt.ResetStats()
-	view, _, err := c.ImageView(3, "map", img.Rect{X: 10, Y: 10, W: 40, H: 30})
+	view, _, err := c.ImageViewCtx(context.Background(), 3, "map", img.Rect{X: 10, Y: 10, W: 40, H: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +250,7 @@ func TestImageViewOverWire(t *testing.T) {
 	}
 	small := lt.Stats().BytesRecv
 	lt.ResetStats()
-	full, _, err := c.ImageView(3, "map", img.Rect{X: 0, Y: 0, W: 100, H: 100})
+	full, _, err := c.ImageViewCtx(context.Background(), 3, "map", img.Rect{X: 0, Y: 0, W: 100, H: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +261,7 @@ func TestImageViewOverWire(t *testing.T) {
 	if small >= big {
 		t.Fatalf("view bytes %d not below full image bytes %d", small, big)
 	}
-	if _, _, err := c.ImageView(3, "ghost", img.Rect{}); err == nil {
+	if _, _, err := c.ImageViewCtx(context.Background(), 3, "ghost", img.Rect{}); err == nil {
 		t.Fatal("view on missing image accepted")
 	}
 }
@@ -264,14 +278,14 @@ func TestVoicePreviewOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(EthernetLink(&Handler{Srv: srv}))
-	vp, _, err := c.VoicePreview(9)
+	vp, _, err := c.VoicePreviewCtx(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vp.Rate != 2000 || len(vp.Samples) == 0 {
 		t.Fatalf("preview = %+v", vp)
 	}
-	if _, _, err := c.VoicePreview(1); err == nil {
+	if _, _, err := c.VoicePreviewCtx(context.Background(), 1); err == nil {
 		t.Fatal("preview of visual object accepted")
 	}
 }

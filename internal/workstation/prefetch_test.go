@@ -68,26 +68,26 @@ func TestPrefetchedBrowseMatchesLockstep(t *testing.T) {
 	pre, _, _ := browseFixture(t, n)
 	pre.EnablePrefetch(PrefetchConfig{Depth: 6, Batch: 3})
 
-	if hits, err := plain.Query("survey"); err != nil || hits != n {
+	if hits, err := plain.QueryCtx(context.Background(), "survey"); err != nil || hits != n {
 		t.Fatalf("query = %d, %v", hits, err)
 	}
-	if hits, err := pre.Query("survey"); err != nil || hits != n {
+	if hits, err := pre.QueryCtx(context.Background(), "survey"); err != nil || hits != n {
 		t.Fatalf("query = %d, %v", hits, err)
 	}
 	for i := 0; i < n; i++ {
-		idA, mA, doneA, errA := plain.NextMiniature()
-		idB, mB, doneB, errB := pre.NextMiniature()
-		if errA != nil || errB != nil || doneA || doneB {
-			t.Fatalf("step %d: %v %v %v %v", i, errA, errB, doneA, doneB)
+		a, errA := plain.NextMiniatureCtx(context.Background())
+		b, errB := pre.NextMiniatureCtx(context.Background())
+		if errA != nil || errB != nil || a.Done || b.Done {
+			t.Fatalf("step %d: %v %v %v %v", i, errA, errB, a.Done, b.Done)
 		}
-		if idA != idB {
-			t.Fatalf("step %d: ids diverge %d vs %d", i, idA, idB)
+		if a.ID != b.ID {
+			t.Fatalf("step %d: ids diverge %d vs %d", i, a.ID, b.ID)
 		}
-		if !bmEqual(mA, mB) {
+		if !bmEqual(a.Mini, b.Mini) {
 			t.Fatalf("step %d: prefetched miniature differs from lock-step", i)
 		}
 	}
-	if _, _, done, _ := pre.NextMiniature(); !done {
+	if st, _ := pre.NextMiniatureCtx(context.Background()); !st.Done {
 		t.Fatal("prefetched browse not done past the end")
 	}
 	pre.Close()
@@ -102,13 +102,13 @@ func TestPrefetchSteadyState(t *testing.T) {
 	)
 	s, lt, _ := browseFixture(t, n)
 	s.EnablePrefetch(PrefetchConfig{Depth: 8, Batch: batch})
-	if _, err := s.Query("survey"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "survey"); err != nil {
 		t.Fatal(err)
 	}
 	lt.ResetStats()
 	for i := 0; i < n; i++ {
-		if _, _, done, err := s.NextMiniature(); err != nil || done {
-			t.Fatalf("step %d: done=%v err=%v", i, done, err)
+		if st, err := s.NextMiniatureCtx(context.Background()); err != nil || st.Done {
+			t.Fatalf("step %d: done=%v err=%v", i, st.Done, err)
 		}
 	}
 	s.Close() // drain in-flight prefetches before reading stats
@@ -135,11 +135,11 @@ func TestRefineInvalidatesPrefetchedMiniatures(t *testing.T) {
 	const n = 8
 	s, _, srv := browseFixture(t, n)
 	s.EnablePrefetch(PrefetchConfig{Depth: 8, Batch: 4})
-	if _, err := s.Query("survey"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "survey"); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the pipeline over the whole set.
-	if _, _, _, err := s.NextMiniature(); err != nil {
+	if _, err := s.NextMiniatureCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,20 +155,20 @@ func TestRefineInvalidatesPrefetchedMiniatures(t *testing.T) {
 
 	// Refine keeps object 2 in the set and invalidates the pipeline; the
 	// next fetch of 2 must be the new miniature, not the cached old one.
-	if hits, err := s.Refine("survey"); err != nil || hits == 0 {
+	if hits, err := s.RefineCtx(context.Background(), "survey"); err != nil || hits == 0 {
 		t.Fatalf("refine = %d, %v", hits, err)
 	}
 	var got *img.Bitmap
 	for {
-		id, m, done, err := s.NextMiniature()
+		st, err := s.NextMiniatureCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
+		if st.Done {
 			break
 		}
-		if id == 2 {
-			got = m
+		if st.ID == 2 {
+			got = st.Mini
 		}
 	}
 	if got == nil {
@@ -190,12 +190,12 @@ func TestPrefetchRefineRace(t *testing.T) {
 	s.EnablePrefetch(PrefetchConfig{Depth: 8, Batch: 4})
 
 	for iter := 0; iter < 25; iter++ {
-		if _, err := s.Query("survey"); err != nil {
+		if _, err := s.QueryCtx(context.Background(), "survey"); err != nil {
 			t.Fatal(err)
 		}
 		// Launch the pipeline, then immediately change an object and
 		// refine while those fetches are still in flight.
-		if _, _, _, err := s.NextMiniature(); err != nil {
+		if _, err := s.NextMiniatureCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		victim := object.ID(2 + iter%(n-2))
@@ -207,18 +207,18 @@ func TestPrefetchRefineRace(t *testing.T) {
 		}
 		srv.Adopt(changed)
 		want := srv.Miniature(victim)
-		if _, err := s.Refine("survey"); err != nil {
+		if _, err := s.RefineCtx(context.Background(), "survey"); err != nil {
 			t.Fatal(err)
 		}
 		for {
-			id, m, done, err := s.NextMiniature()
+			st, err := s.NextMiniatureCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if done {
+			if st.Done {
 				break
 			}
-			if id == victim && !bmEqual(m, want) {
+			if st.ID == victim && !bmEqual(st.Mini, want) {
 				t.Fatalf("iter %d: stale miniature for %d surfaced after refine", iter, victim)
 			}
 		}
@@ -268,22 +268,22 @@ func BenchmarkPrefetchedBrowse(b *testing.B) {
 	const n = 24
 	s, _, _ := browseFixture(b, n)
 	s.EnablePrefetch(PrefetchConfig{Depth: 8, Batch: 6})
-	if _, err := s.Query("survey"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "survey"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for {
-			_, _, done, err := s.NextMiniature()
+			st, err := s.NextMiniatureCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if done {
+			if st.Done {
 				break
 			}
 		}
 		for {
-			if _, _, done, _ := s.PrevMiniature(); done {
+			if st, _ := s.PrevMiniatureCtx(context.Background()); st.Done {
 				break
 			}
 		}
@@ -293,22 +293,22 @@ func BenchmarkPrefetchedBrowse(b *testing.B) {
 func BenchmarkLockstepBrowse(b *testing.B) {
 	const n = 24
 	s, _, _ := browseFixture(b, n)
-	if _, err := s.Query("survey"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "survey"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for {
-			_, _, done, err := s.NextMiniature()
+			st, err := s.NextMiniatureCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if done {
+			if st.Done {
 				break
 			}
 		}
 		for {
-			if _, _, done, _ := s.PrevMiniature(); done {
+			if st, _ := s.PrevMiniatureCtx(context.Background()); st.Done {
 				break
 			}
 		}

@@ -25,11 +25,11 @@ type killableTransport struct {
 	dead atomic.Bool
 }
 
-func (k *killableTransport) RoundTrip(req []byte) ([]byte, error) {
+func (k *killableTransport) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
 	if k.dead.Load() {
 		return nil, wire.ErrTransportClosed
 	}
-	return k.t.RoundTrip(req)
+	return k.t.RoundTripCtx(ctx, req)
 }
 
 func (k *killableTransport) Close() error { return k.t.Close() }
@@ -80,7 +80,7 @@ func TestSessionResyncAfterReconnect(t *testing.T) {
 	s := New(client, core.Config{Screen: screen.New(240, 140), Clock: vclock.New()})
 	s.EnablePrefetch(PrefetchConfig{Depth: 4, Batch: 2})
 
-	if hits, err := s.Query("survey"); err != nil || hits != n {
+	if hits, err := s.QueryCtx(context.Background(), "survey"); err != nil || hits != n {
 		t.Fatalf("query = %d, %v", hits, err)
 	}
 	for i := 0; i < 3; i++ {
@@ -164,7 +164,7 @@ func TestDegradedStaleServing(t *testing.T) {
 	s := New(client, core.Config{Screen: screen.New(240, 140), Clock: vclock.New()})
 	s.EnablePrefetch(PrefetchConfig{Depth: 8, Batch: 3})
 
-	if hits, err := s.Query("survey"); err != nil || hits != n {
+	if hits, err := s.QueryCtx(context.Background(), "survey"); err != nil || hits != n {
 		t.Fatalf("query = %d, %v", hits, err)
 	}
 	for i := 0; i < n; i++ {
@@ -218,7 +218,7 @@ func TestBrowseStepContextCancelled(t *testing.T) {
 	client := wire.NewClient(mk())
 	fastRetries(client)
 	s := New(client, core.Config{Screen: screen.New(240, 140), Clock: vclock.New()})
-	if _, err := s.Query("survey"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "survey"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

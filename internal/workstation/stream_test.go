@@ -123,8 +123,10 @@ func TestPlayVoiceStreamPlaysWhileFetching(t *testing.T) {
 // the missing capability and fall back to the single-frame preview path.
 type batchOnly struct{ inner wire.Transport }
 
-func (b *batchOnly) RoundTrip(req []byte) ([]byte, error) { return b.inner.RoundTrip(req) }
-func (b *batchOnly) Close() error                         { return b.inner.Close() }
+func (b *batchOnly) RoundTripCtx(ctx context.Context, req []byte) ([]byte, error) {
+	return b.inner.RoundTripCtx(ctx, req)
+}
+func (b *batchOnly) Close() error { return b.inner.Close() }
 
 // TestPlayVoiceStreamFallsBackToBatch: no StreamOpener on the transport →
 // the old preview path (Load + Play), Streamed=false.

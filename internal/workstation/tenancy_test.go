@@ -32,7 +32,7 @@ func TestTwoSessionsShareBoundedGate(t *testing.T) {
 	const rounds = 25
 	run := func(s *Session) error {
 		for i := 0; i < rounds; i++ {
-			if _, err := s.Query("the"); err != nil {
+			if _, err := s.QueryCtx(context.Background(), "the"); err != nil {
 				return err
 			}
 			for {

@@ -1,6 +1,7 @@
 package workstation
 
 import (
+	"context"
 	"testing"
 
 	"minos/internal/archiver"
@@ -50,46 +51,47 @@ func fixture(t testing.TB) (*Session, *server.Server) {
 
 func TestQueryAndSequentialBrowsing(t *testing.T) {
 	s, _ := fixture(t)
-	n, err := s.Query("the")
+	n, err := s.QueryCtx(context.Background(), "the")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("hits = %d", n)
 	}
-	id1, m1, done, err := s.NextMiniature()
-	if err != nil || done {
-		t.Fatalf("first miniature: %v %v", done, err)
+	ctx := context.Background()
+	st, err := s.NextMiniatureCtx(ctx)
+	if err != nil || st.Done {
+		t.Fatalf("first miniature: %v %v", st.Done, err)
 	}
-	if id1 != 1 || m1 == nil || m1.PopCount() == 0 {
-		t.Fatalf("miniature 1 = %d %v", id1, m1)
+	if st.ID != 1 || st.Mini == nil || st.Mini.PopCount() == 0 {
+		t.Fatalf("miniature 1 = %d %v", st.ID, st.Mini)
 	}
-	id2, _, done, err := s.NextMiniature()
-	if err != nil || done || id2 != 2 {
-		t.Fatalf("miniature 2 = %d done=%v err=%v", id2, done, err)
+	st, err = s.NextMiniatureCtx(ctx)
+	if err != nil || st.Done || st.ID != 2 {
+		t.Fatalf("miniature 2 = %d done=%v err=%v", st.ID, st.Done, err)
 	}
-	_, _, done, _ = s.NextMiniature()
-	if !done {
+	st, _ = s.NextMiniatureCtx(ctx)
+	if !st.Done {
 		t.Fatal("browsing past the end not done")
 	}
 	// Step back.
-	idb, _, done, err := s.PrevMiniature()
-	if err != nil || done || idb != 1 {
-		t.Fatalf("prev = %d done=%v err=%v", idb, done, err)
+	st, err = s.PrevMiniatureCtx(ctx)
+	if err != nil || st.Done || st.ID != 1 {
+		t.Fatalf("prev = %d done=%v err=%v", st.ID, st.Done, err)
 	}
-	_, _, done, _ = s.PrevMiniature()
-	if !done {
+	st, _ = s.PrevMiniatureCtx(ctx)
+	if !st.Done {
 		t.Fatal("prev past the start not done")
 	}
 }
 
 func TestOpenSelectedPresents(t *testing.T) {
 	s, _ := fixture(t)
-	s.Query("lung")
+	s.QueryCtx(context.Background(), "lung")
 	if err := s.OpenSelected(); err == nil {
 		t.Fatal("open without selection accepted")
 	}
-	s.NextMiniature()
+	s.NextMiniatureCtx(context.Background())
 	if err := s.OpenSelected(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +160,11 @@ func TestBrowseEditingState(t *testing.T) {
 
 func TestQueryMiss(t *testing.T) {
 	s, _ := fixture(t)
-	n, err := s.Query("unicorn")
+	n, err := s.QueryCtx(context.Background(), "unicorn")
 	if err != nil || n != 0 {
 		t.Fatalf("miss query = %d, %v", n, err)
 	}
-	_, _, done, _ := s.NextMiniature()
-	if !done {
+	if st, _ := s.NextMiniatureCtx(context.Background()); !st.Done {
 		t.Fatal("empty result set browsed")
 	}
 }
@@ -186,11 +187,11 @@ func TestAudioMiniaturePlaysPreview(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Query matches only the audio object (token "preview").
-	n, err := s.Query("preview")
+	n, err := s.QueryCtx(context.Background(), "preview")
 	if err != nil || n != 1 {
 		t.Fatalf("query = %d, %v", n, err)
 	}
-	if _, _, _, err := s.NextMiniature(); err != nil {
+	if _, err := s.NextMiniatureCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The voice preview is playing on the session's message player.
@@ -205,11 +206,11 @@ func TestAudioMiniaturePlaysPreview(t *testing.T) {
 
 func TestRefineNarrowsResults(t *testing.T) {
 	s, _ := fixture(t)
-	n, err := s.Query("the")
+	n, err := s.QueryCtx(context.Background(), "the")
 	if err != nil || n != 2 {
 		t.Fatalf("query = %d, %v", n, err)
 	}
-	n, err = s.Refine("lung")
+	n, err = s.RefineCtx(context.Background(), "lung")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,20 +218,20 @@ func TestRefineNarrowsResults(t *testing.T) {
 		t.Fatalf("refined = %d %v", n, s.Results())
 	}
 	// The browsing cursor resets.
-	id, _, done, err := s.NextMiniature()
-	if err != nil || done || id != 1 {
-		t.Fatalf("after refine: %d %v %v", id, done, err)
+	st, err := s.NextMiniatureCtx(context.Background())
+	if err != nil || st.Done || st.ID != 1 {
+		t.Fatalf("after refine: %d %v %v", st.ID, st.Done, err)
 	}
 	// Refining to nothing empties the set.
-	if n, _ := s.Refine("rhythm"); n != 0 {
+	if n, _ := s.RefineCtx(context.Background(), "rhythm"); n != 0 {
 		t.Fatalf("disjoint refine = %d", n)
 	}
 }
 
 func TestShowBrowserRendersMiniatures(t *testing.T) {
 	s, _ := fixture(t)
-	s.Query("the")
-	if err := s.ShowBrowser(); err != nil {
+	s.QueryCtx(context.Background(), "the")
+	if err := s.ShowBrowserCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	scr := s.Manager().Screen()
@@ -242,8 +243,8 @@ func TestShowBrowserRendersMiniatures(t *testing.T) {
 	}
 	// Advancing the cursor changes the highlight.
 	snap0 := scr.Snapshot()
-	s.NextMiniature()
-	if err := s.ShowBrowser(); err != nil {
+	s.NextMiniatureCtx(context.Background())
+	if err := s.ShowBrowserCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if scr.Snapshot() == snap0 {
